@@ -1,8 +1,8 @@
 //! P1 — retrieve-strategy scaling. Not a table in the paper (its
 //! evaluation is qualitative); this sweep validates the substrate the
-//! paper presumes: semi-naive beats naive with growing EDB size, and the
-//! goal-directed strategy wins on constant-bound queries by touching only
-//! the relevant slice.
+//! paper presumes: semi-naive wins full closure, and the goal-directed
+//! QSQ strategy wins on constant-bound queries by touching only the
+//! relevant slice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qdk_bench::{chain_edb, prior_idb, random_graph_edb};
@@ -11,18 +11,13 @@ use qdk_logic::parser::parse_atom;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn strategies() -> [(&'static str, Strategy); 5] {
-    [
-        ("naive", Strategy::Naive),
-        ("seminaive", Strategy::SemiNaive),
-        ("topdown", Strategy::TopDown),
-        ("magic", Strategy::Magic),
-        ("qsq", Strategy::Qsq),
-    ]
+fn strategies() -> [(&'static str, Strategy); 2] {
+    [("seminaive", Strategy::SemiNaive), ("qsq", Strategy::Qsq)]
 }
 
-/// Full transitive closure of a chain: the classic semi-naive-vs-naive
-/// separation (closure size is quadratic in the chain length).
+/// Full transitive closure of a chain: demand reaches every tuple, so
+/// goal direction buys nothing (closure size is quadratic in the chain
+/// length).
 fn p1_full_closure_chain(c: &mut Criterion) {
     let idb = prior_idb();
     let q = Retrieve::new(parse_atom("prior(X, Y)").unwrap(), vec![]);

@@ -7,13 +7,8 @@ use qdk_engine::{Retrieve, Strategy};
 use qdk_logic::parser::{parse_atom, parse_body};
 use std::hint::black_box;
 
-fn strategies() -> [(&'static str, Strategy); 4] {
-    [
-        ("naive", Strategy::Naive),
-        ("seminaive", Strategy::SemiNaive),
-        ("topdown", Strategy::TopDown),
-        ("qsq", Strategy::Qsq),
-    ]
+fn strategies() -> [(&'static str, Strategy); 2] {
+    [("seminaive", Strategy::SemiNaive), ("qsq", Strategy::Qsq)]
 }
 
 fn e1_retrieve_honor_enrolled(c: &mut Criterion) {

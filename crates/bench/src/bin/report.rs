@@ -47,24 +47,15 @@ fn median_micros(runs: usize, mut f: impl FnMut()) -> f64 {
 
 fn strategy_name(s: Strategy) -> &'static str {
     match s {
-        Strategy::Naive => "naive",
         Strategy::SemiNaive => "semi-naive",
-        Strategy::TopDown => "top-down",
-        Strategy::Magic => "magic",
         Strategy::Qsq => "qsq",
     }
 }
 
-/// All five retrieve strategies, in reporting order.
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::Naive,
-    Strategy::SemiNaive,
-    Strategy::TopDown,
-    Strategy::Magic,
-    Strategy::Qsq,
-];
+/// Both retrieve strategies, in reporting order.
+const STRATEGIES: [Strategy; 2] = [Strategy::SemiNaive, Strategy::Qsq];
 
-/// Asserts every strategy returns the same answer set for `q` before any
+/// Asserts both strategies return the same answer set for `q` before any
 /// timing happens — a wrong-but-fast strategy must fail the bench, not
 /// win it. Returns the agreed answer count for the report.
 fn assert_strategies_agree(
@@ -140,8 +131,8 @@ fn write_json(path: &str, records: &[String], run_id: &str) {
 
 fn p1_full_closure(records: &mut Vec<String>) {
     println!("## P1a — full transitive closure of a chain (µs, median of 5)\n");
-    println!("| n (edges) | naive | semi-naive | top-down | magic | qsq |");
-    println!("|-----------|-------|------------|----------|-------|-----|");
+    println!("| n (edges) | semi-naive | qsq |");
+    println!("|-----------|------------|-----|");
     let idb = prior_idb();
     let q = Retrieve::new(parse_atom("prior(X, Y)").unwrap(), vec![]);
     for n in [16usize, 32, 64, 128] {
@@ -167,15 +158,15 @@ fn p1_full_closure(records: &mut Vec<String>) {
 
 /// Bound queries are served from a compiled plan (the `KnowledgeBase`
 /// serving path): the `ProgramPlan` is compiled once per EDB and every
-/// strategy is timed through `retrieve_compiled`. Before any timing, all
-/// five strategies must return the same answer set — the per-row answer
+/// strategy is timed through `retrieve_compiled`. Before any timing, both
+/// strategies must return the same answer set — the per-row answer
 /// count is reported, and a disagreement aborts the bench.
 fn p1_bound_query(records: &mut Vec<String>) {
     println!(
         "## P1b — constant-bound prior(c0, Y) on random graphs, cached plan (µs, median of 15)\n"
     );
-    println!("| edges | answers | naive | semi-naive | top-down | magic | qsq |");
-    println!("|-------|---------|-------|------------|----------|-------|-----|");
+    println!("| edges | answers | semi-naive | qsq |");
+    println!("|-------|---------|------------|-----|");
     let idb = prior_idb();
     for edges in [64usize, 128, 256, 512] {
         let edb = random_graph_edb(edges / 2, edges, 42);
@@ -211,8 +202,8 @@ fn p1_bound_query(records: &mut Vec<String>) {
 /// (see [`p1_bound_query`]).
 fn j1_join_heavy(records: &mut Vec<String>) {
     println!("## J1 — join-heavy queries on random graphs, cached plan (µs, median of 15)\n");
-    println!("| edges | query | answers | naive | semi-naive | top-down | magic | qsq |");
-    println!("|-------|-------|---------|-------|------------|----------|-------|-----|");
+    println!("| edges | query | answers | semi-naive | qsq |");
+    println!("|-------|-------|---------|------------|-----|");
     let idb = join_idb();
     for edges in [64usize, 128, 256] {
         let edb = random_graph_edb(edges / 2, edges, 42);
@@ -319,8 +310,8 @@ fn compiled_vs_percall(records: &mut Vec<String>) {
 /// byte-identical at every count; only latency moves.
 fn t1_retrieve_threads(records: &mut Vec<String>) {
     println!("## T1 — retrieve threads sweep, chain-128 full closure (µs, median of 5)\n");
-    println!("| workers | naive | semi-naive | top-down | magic | qsq |");
-    println!("|---------|-------|------------|----------|-------|-----|");
+    println!("| workers | semi-naive | qsq |");
+    println!("|---------|------------|-----|");
     let idb = prior_idb();
     let edb = chain_edb(128);
     let q = Retrieve::new(parse_atom("prior(X, Y)").unwrap(), vec![]);

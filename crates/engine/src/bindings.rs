@@ -476,7 +476,7 @@ pub(crate) fn exec_cached(
                 (Some(l), Some(r)) => builtins::eval(op.as_str(), l, r)?,
                 _ => {
                     // Reachable only when a pre-bound slot arrives unbound
-                    // at run time (top-down call plans); same report the
+                    // at run time (head-bound plans); same report the
                     // dynamic scheduler gave for an unschedulable literal.
                     return Err(EngineError::UnsafeRule {
                         rule: plan.rule_str.clone(),
@@ -634,19 +634,8 @@ pub(crate) fn match_cols_into(
 
 /// Enumerates the tuples of `rel` matching `cols` under `frame`, calling
 /// `each` with the extended frame per match and undoing the bindings
-/// afterwards. Shared by the bottom-up executor ([`exec`] recurses into
-/// the rest of the plan here) and the top-down solver's EDB scans.
-pub(crate) fn scan_relation(
-    rel: &Relation,
-    cols: &[Col],
-    frame: &mut Frame,
-    each: &mut dyn FnMut(&mut Frame) -> Result<()>,
-) -> Result<()> {
-    scan_relation_access(rel, cols, None, frame, None, each)
-}
-
-/// [`scan_relation`] with an optional resolved composite access path and
-/// an optional tuple-id `window` restriction.
+/// afterwards, through an optional resolved composite access path and an
+/// optional tuple-id `window` restriction.
 ///
 /// With a composite index the bound columns collapse into one hash
 /// lookup; the candidate ids are exactly the ids the single-column probe
@@ -724,19 +713,6 @@ fn composite_probe<'r>(ix: &'r CompositeIndex, cols: &[Col], frame: &Frame) -> O
         }
     }
     Some(ix.probe(&key))
-}
-
-/// Converts a satisfying frame into a substitution over the plan's slot
-/// variables (unbound slots are simply absent). Used by the query layer
-/// and the top-down solver to surface answers in the term vocabulary.
-pub(crate) fn frame_subst(plan: &RulePlan, frame: &Frame) -> Subst {
-    let mut s = Subst::new();
-    for (i, v) in plan.compiled.slots.iter().enumerate() {
-        if let Some(c) = frame.get(i as u32) {
-            s.bind(v.clone(), Term::Const(c.clone()));
-        }
-    }
-    s
 }
 
 /// Fires a compiled rule once against a view: executes the plan and
@@ -864,7 +840,7 @@ pub(crate) struct RuleTask<'p> {
 }
 
 impl<'p> RuleTask<'p> {
-    /// Fire `plan` against the total view (round 0 / naive iteration).
+    /// Fire `plan` against the total view (round 0).
     pub(crate) fn total(plan: &'p RulePlan) -> Self {
         RuleTask {
             plan,

@@ -15,9 +15,11 @@
 //!   (literal order, index probes, slot read/write sets) is computed one
 //!   time per program instead of once per recursion step, and executed
 //!   over flat positional frames;
-//! * evaluation strategies: [`naive`] and [`seminaive`] bottom-up, and
-//!   [`topdown`] goal-directed evaluation (relevance-restricted, per-SCC
-//!   fixpoints) — all four run the compiled plans;
+//! * two evaluation strategies on one fixpoint executor: [`seminaive`]
+//!   bottom-up evaluation, which serves full closure and the
+//!   [`maintain`]ed store, and [`qsq`] Query-Subquery nets, which serve
+//!   bound calls goal-directed; both run the compiled plans through the
+//!   same rule-firing machinery;
 //! * [`query`] — the `retrieve p where ψ` statement itself.
 
 #![forbid(unsafe_code)]
@@ -30,24 +32,21 @@ mod bindings;
 mod error;
 pub mod graph;
 mod idb;
-pub mod magic;
 pub mod maintain;
-pub mod naive;
 pub mod plan;
 pub mod qsq;
 pub mod query;
 pub mod seminaive;
 pub mod stratify;
-pub mod topdown;
 
 pub use bindings::{DerivedFacts, FactView};
 pub use error::{EngineError, Result};
 pub use idb::Idb;
 pub use maintain::{MaintainStats, MaintainedStore, Retraction};
-pub use naive::EvalOptions;
 pub use plan::{ProgramPlan, RulePlan};
 pub use qdk_logic::governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use query::{
     retrieve, retrieve_compiled, retrieve_precomputed, retrieve_with, DataAnswer, Downgrade, Mode,
     Retrieve, Strategy,
 };
+pub use seminaive::EvalOptions;

@@ -34,9 +34,8 @@ use crate::bindings::{exec, fire_rule_batch, DeltaRanges, DerivedFacts, FactView
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
-use crate::naive::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
-use crate::seminaive;
+use crate::seminaive::{self, EvalOptions};
 use crate::stratify::{stratify, Stratification};
 use qdk_logic::fasthash::{FxHashMap, FxHashSet};
 use qdk_logic::{Frame, IrTerm, Parallelism, Sym};

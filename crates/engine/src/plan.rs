@@ -30,7 +30,7 @@ use std::sync::{Arc, RwLock};
 
 /// Fallback cardinality floor for predicates the stats snapshot doesn't
 /// cover (derived predicates, whose extension is unknown before the
-/// fixpoint runs). Kept modest so a bound magic-guard literal still
+/// fixpoint runs). Kept modest so a bound QSQ input-guard literal still
 /// schedules ahead of an unbound stored scan.
 const DEFAULT_CARD_FLOOR: usize = 16;
 
@@ -163,8 +163,7 @@ impl RulePlan {
     ///
     /// The plan's slots are the distinct goal variables in order of first
     /// occurrence; `rule_str` is the text used in `UnsafeRule` reports
-    /// (the retrieval layer and the top-down solver render the stuck
-    /// query differently, so the caller supplies it).
+    /// (the caller renders the stuck query, so it supplies the text).
     pub(crate) fn for_query(
         goals: &[qdk_logic::Literal],
         rule_str: String,
@@ -182,8 +181,8 @@ impl RulePlan {
     }
 
     /// Re-plans an already compiled rule under an adornment: `bound[s]`
-    /// marks slot `s` as pre-bound (the top-down solver binds head slots
-    /// from the call before executing the body).
+    /// marks slot `s` as pre-bound (delete-and-rederive binds head slots
+    /// from the candidate tuple before executing the body).
     pub(crate) fn with_bound(
         compiled: CompiledRule,
         rule_str: String,
@@ -388,7 +387,7 @@ impl ProgramPlan {
 
     /// Compiles every rule of `idb` with literal order chosen by the cost
     /// model over a cardinality snapshot. The snapshot is retained so
-    /// adorned re-plans (top-down call plans) and per-stratum delta
+    /// adorned re-plans (head-bound rederivation plans) and delta
     /// variants inherit the same estimates.
     pub fn compile_with_stats(idb: &Idb, stats: CatalogStats) -> Self {
         ProgramPlan::compile_opt(idb, Some(stats))

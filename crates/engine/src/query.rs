@@ -15,28 +15,20 @@ use crate::bindings::{exec, FactView};
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
-use crate::naive::{self, EvalOptions};
 use crate::plan::{ProgramPlan, RulePlan};
-use crate::seminaive;
-use crate::topdown::Solver;
+use crate::seminaive::{self, EvalOptions};
 use qdk_logic::{Atom, Frame, FxHashSet, Interner, Literal, Rule, Subst, Term, Var};
 use qdk_storage::{Edb, Tuple, Value};
 use std::fmt;
 
-/// Evaluation strategy for `retrieve`.
+/// Evaluation strategy for `retrieve`: the two program shapes the
+/// shared fixpoint executor runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// Naive bottom-up (reference baseline).
-    Naive,
-    /// Semi-naive bottom-up over the relevant predicates.
+    /// Semi-naive bottom-up over the relevant predicates — serves full
+    /// closure and, on a live knowledge base, the maintained store.
     #[default]
     SemiNaive,
-    /// Goal-directed (relevance + constant propagation).
-    TopDown,
-    /// Magic-sets rewriting + semi-naive evaluation of the rewritten
-    /// program. Falls back to semi-naive when the relevant slice uses
-    /// negation (the rewrite covers positive programs).
-    Magic,
     /// Query-Subquery: demand-driven set-at-a-time evaluation over QSQ
     /// nets cached per (predicate, adornment) in the compiled plan —
     /// the fastest strategy for bound queries served from a warm plan.
@@ -47,7 +39,7 @@ pub enum Strategy {
 }
 
 /// An evaluation mode a [`Downgrade`] can degrade from or to: one of the
-/// four retrieve strategies, or one of the two maintenance modes a live
+/// two retrieve strategies, or one of the two maintenance modes a live
 /// knowledge base keeps its derived state in — incremental (delta
 /// propagation / delete-and-rederive) and full recomputation.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -61,7 +53,7 @@ pub enum Mode {
 }
 
 impl fmt::Debug for Mode {
-    // Renders the inner strategy bare ("Magic", not "Strategy(Magic)") so
+    // Renders the inner strategy bare ("Qsq", not "Strategy(Qsq)") so
     // downgrade notes read the same as when `Downgrade` held strategies
     // directly.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -86,7 +78,7 @@ impl PartialEq<Strategy> for Mode {
 }
 
 /// A recorded degradation: the requested evaluation or maintenance mode
-/// could not complete (e.g. the magic-sets rewrite hit a non-stratified
+/// could not complete (e.g. a QSQ net met negation in the demanded
 /// slice, or delete-and-rederive met negation over an affected
 /// predicate), and a simpler mode produced the result instead of
 /// erroring.
@@ -101,7 +93,7 @@ pub struct Downgrade {
 }
 
 impl Downgrade {
-    /// A strategy-to-strategy downgrade (e.g. Magic → SemiNaive).
+    /// A strategy-to-strategy downgrade (e.g. Qsq → SemiNaive).
     pub fn strategy(from: Strategy, to: Strategy, reason: impl Into<String>) -> Self {
         Downgrade {
             from: Mode::Strategy(from),
@@ -256,51 +248,24 @@ pub fn retrieve_compiled(
 ) -> Result<DataAnswer> {
     let (columns, goals) = query_goals(edb, idb, query)?;
     let obs = opts.sink.clone();
-    let substs = match strategy {
-        Strategy::TopDown => {
-            let _span = obs.span("topdown", 0);
-            let mut solver = Solver::with_plan(edb, idb, plan, opts);
-            solver.solve_all(&goals)?
-        }
-        Strategy::Magic => {
-            let magic_span = obs.span("magic", 0);
-            match magic_substs(edb, idb, &columns, &goals, opts.clone()) {
-                Ok(s) => {
-                    drop(magic_span);
-                    s
-                }
-                // Graceful degradation: if the rewrite cannot apply
-                // (negation in the relevant slice) or the rewritten
-                // program exhausts its limits, retry with plain semi-naive
-                // and record the downgrade instead of erroring. The retry
-                // builds a fresh governor from the same limits, so a
-                // deadline restarts for the fallback attempt; if the
-                // fallback exhausts too, that error propagates.
-                Err(e @ (EngineError::NotStratified(_) | EngineError::Exhausted(_))) => {
-                    drop(magic_span);
-                    obs.counter("downgrade", 1);
-                    let mut answer =
-                        retrieve_compiled(edb, idb, plan, query, Strategy::SemiNaive, opts)?;
-                    answer.downgrades.insert(
-                        0,
-                        Downgrade::strategy(Strategy::Magic, Strategy::SemiNaive, e.to_string()),
-                    );
-                    return Ok(answer);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    match strategy {
         Strategy::Qsq => {
             let qsq_span = obs.span("qsq", 0);
             match crate::qsq::qsq_substs(edb, idb, plan, &columns, &goals, opts.clone()) {
-                Ok(s) => {
+                Ok(substs) => {
                     drop(qsq_span);
-                    s
+                    let _project_span = obs.span("project", 0);
+                    project_answer(query, &columns, substs)
                 }
-                // Same degradation contract as magic, plus `UnsafeRule`:
-                // an adornment whose filter chain cannot be scheduled
-                // surfaces at net execution, and plain semi-naive (which
-                // evaluates the original, safe rules) still answers.
+                // Graceful degradation: negation in the demanded slice
+                // (the net is a positive program), an exhausted net, or an
+                // adornment whose filter chain cannot be scheduled retries
+                // with plain semi-naive — which evaluates the original,
+                // safe, stratified rules — and records the downgrade
+                // instead of erroring. The retry builds a fresh governor
+                // from the same limits, so a deadline restarts for the
+                // fallback attempt; if the fallback exhausts too, that
+                // error propagates.
                 Err(
                     e @ (EngineError::NotStratified(_)
                     | EngineError::Exhausted(_)
@@ -314,21 +279,15 @@ pub fn retrieve_compiled(
                         0,
                         Downgrade::strategy(Strategy::Qsq, Strategy::SemiNaive, e.to_string()),
                     );
-                    return Ok(answer);
+                    Ok(answer)
                 }
-                Err(e) => return Err(e),
+                Err(e) => Err(e),
             }
         }
-        Strategy::Naive | Strategy::SemiNaive => {
+        Strategy::SemiNaive => {
             // Bottom-up: materialize the relevant predicates, then solve the
             // goal conjunction against EDB + materialized facts.
-            let strategy_span = obs.span(
-                match strategy {
-                    Strategy::Naive => "naive",
-                    _ => "seminaive",
-                },
-                0,
-            );
+            let strategy_span = obs.span("seminaive", 0);
             let graph = DependencyGraph::build(idb);
             let mut relevant = Vec::new();
             for g in &goals {
@@ -341,18 +300,12 @@ pub fn retrieve_compiled(
                     }
                 }
             }
-            let derived = match strategy {
-                Strategy::Naive => naive::eval_compiled(edb, idb, plan, Some(&relevant), opts)?,
-                _ => seminaive::eval_compiled(edb, idb, plan, Some(&relevant), opts)?,
-            };
+            let derived = seminaive::eval_compiled(edb, idb, plan, Some(&relevant), opts)?;
             drop(strategy_span);
             let _project_span = obs.span("project", 0);
-            return solve_projected(edb, &derived, &goals, query, &columns);
+            solve_projected(edb, &derived, &goals, query, &columns)
         }
-    };
-
-    let _project_span = obs.span("project", 0);
-    project_answer(query, &columns, substs)
+    }
 }
 
 /// Validates the query subject and builds the answer columns and goal
@@ -557,53 +510,6 @@ fn project_answer(query: &Retrieve, columns: &[Var], substs: Vec<Subst>) -> Resu
     Ok(answer)
 }
 
-/// Magic-sets evaluation of a goal conjunction: wrap the goals in a fresh
-/// query rule, rewrite for the query predicate, evaluate the rewritten
-/// program semi-naively, and read the query relation.
-fn magic_substs(
-    edb: &Edb,
-    idb: &Idb,
-    columns: &[Var],
-    goals: &[Literal],
-    opts: EvalOptions,
-) -> Result<Vec<Subst>> {
-    // Collect the goal conjunction's distinct variables (answers project
-    // onto these; `columns` are a subset for known subjects).
-    let mut vars: Vec<Var> = Vec::new();
-    for g in goals {
-        for v in g.atom.vars() {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-    }
-    for v in columns {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let query_head = Atom::new(
-        "__magic_query",
-        vars.iter().cloned().map(Term::Var).collect(),
-    );
-    let wrapped = idb.extended([Rule::with_literals(query_head.clone(), goals.to_vec())])?;
-    let (pattern, bindings) = crate::magic::query_pattern(&query_head);
-    let rewritten = crate::magic::rewrite(&wrapped, "__magic_query", &pattern, &bindings)?;
-    let facts = seminaive::eval_with(edb, &rewritten.idb, opts)?;
-    let mut out = Vec::new();
-    if let Some(rel) = facts.relation(rewritten.query_pred.as_str()) {
-        for tuple in rel.iter() {
-            let s: Subst = vars
-                .iter()
-                .cloned()
-                .zip(tuple.values().iter().cloned().map(Term::Const))
-                .collect();
-            out.push(s);
-        }
-    }
-    Ok(out)
-}
-
 /// Looks up the full extension of a predicate after bottom-up evaluation —
 /// a convenience for examples and tests.
 pub fn extension(edb: &Edb, idb: &Idb, pred: &str) -> Result<Vec<Tuple>> {
@@ -670,8 +576,8 @@ mod tests {
         (edb, idb)
     }
 
-    fn strategies() -> [Strategy; 3] {
-        [Strategy::Naive, Strategy::SemiNaive, Strategy::TopDown]
+    fn strategies() -> [Strategy; 2] {
+        [Strategy::SemiNaive, Strategy::Qsq]
     }
 
     #[test]
@@ -814,7 +720,6 @@ mod tests {
                 renders.push(rows);
             }
             assert_eq!(renders[0], renders[1], "{pred}");
-            assert_eq!(renders[1], renders[2], "{pred}");
         }
     }
 

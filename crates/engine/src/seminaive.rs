@@ -4,19 +4,82 @@
 //! a rule need only be re-fired with at least one recursive body occurrence
 //! restricted to the *delta* (facts new in the previous round), because any
 //! wholly-old instantiation was already derived. This avoids naive
-//! evaluation's rederivation of the entire fact set each round; the P1
-//! benchmark measures the separation growing with EDB size.
+//! evaluation's rederivation of the entire fact set each round. It serves
+//! full-closure queries and the maintained store; [`EvalOptions`], shared
+//! by every fixpoint in the crate, lives here.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::bindings::{fire_rule_batch, DeltaRanges, DerivedFacts, RuleTask};
 use crate::error::Result;
 use crate::idb::Idb;
-use crate::naive::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan, Step};
 use crate::stratify::stratify;
-use qdk_logic::Sym;
+use qdk_logic::governor::{CancelToken, Governor, ResourceLimits};
+use qdk_logic::obs::ObsSink;
+use qdk_logic::{Parallelism, Sym};
 use qdk_storage::{Edb, Relation};
+use threadpool::Pool;
+
+/// Options controlling a fixpoint run: the unified [`ResourceLimits`]
+/// (work budget, deadline, fact count), an optional cooperative
+/// [`CancelToken`], and the worker count for parallel fixpoints.
+/// Exhaustion aborts with [`crate::EngineError::Exhausted`] carrying the
+/// governor's structured diagnostic.
+#[derive(Clone, Debug, Default)]
+pub struct EvalOptions {
+    /// Resource limits enforced during evaluation (`Default` = unbounded).
+    pub limits: ResourceLimits,
+    /// Cooperative cancellation token, checkable from another thread.
+    pub cancel: Option<CancelToken>,
+    /// Worker count for the parallel fixpoints (`Default` = available
+    /// cores; [`Parallelism::SEQUENTIAL`] pins the exact sequential path).
+    pub parallelism: Parallelism,
+    /// Observability sink; spans and counters are emitted here (the
+    /// default disabled sink records nothing and costs one branch).
+    pub sink: ObsSink,
+}
+
+impl EvalOptions {
+    /// Options enforcing the given limits.
+    pub fn with_limits(limits: ResourceLimits) -> Self {
+        EvalOptions {
+            limits,
+            ..EvalOptions::default()
+        }
+    }
+
+    /// Set the worker count.
+    #[must_use]
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = parallelism;
+        self
+    }
+
+    /// Set a cooperative cancellation token.
+    #[must_use]
+    pub fn with_cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = Some(token);
+        self
+    }
+
+    /// Install an observability sink.
+    #[must_use]
+    pub fn with_sink(mut self, sink: ObsSink) -> Self {
+        self.sink = sink;
+        self
+    }
+
+    /// Build the governor for one evaluation run.
+    pub(crate) fn governor(&self) -> Governor {
+        Governor::new(self.limits).with_cancel(self.cancel.clone())
+    }
+
+    /// Build the worker pool for one evaluation run.
+    pub(crate) fn pool(&self) -> Pool {
+        Pool::new(self.parallelism.get())
+    }
+}
 
 /// A delta scan is split across workers only when the delta relation has at
 /// least this many tuples; smaller scans are not worth a second task.
@@ -269,9 +332,10 @@ pub(crate) fn outermost_scan(rp: &RulePlan, i: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
     use qdk_logic::parser::{parse_atom, parse_program};
+    use qdk_storage::{Tuple, Value};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::{BTreeSet, VecDeque};
 
     fn chain_edb(n: usize) -> Edb {
         let mut edb = Edb::new();
@@ -295,48 +359,61 @@ mod tests {
         .unwrap()
     }
 
-    fn same_facts(a: &DerivedFacts, b: &DerivedFacts) -> bool {
-        if a.len() != b.len() {
-            return false;
-        }
-        a.iter().all(|(p, rel)| {
-            b.relation(p.as_str())
-                .is_some_and(|other| rel.iter().all(|t| other.contains(t)))
-        })
+    /// The rendered tuples of `pred` in `derived` (empty if absent).
+    fn rendered(derived: &DerivedFacts, pred: &str) -> BTreeSet<String> {
+        derived
+            .relation(pred)
+            .map(|rel| rel.iter().map(ToString::to_string).collect())
+            .unwrap_or_default()
     }
 
     #[test]
-    fn agrees_with_naive_on_chain() {
-        let edb = chain_edb(8);
-        let idb = prior_idb();
-        let n = naive::eval(&edb, &idb).unwrap();
-        let s = eval(&edb, &idb).unwrap();
-        assert!(same_facts(&n, &s));
+    fn transitive_closure_of_chain() {
+        // A chain of 8 edges has 8+7+...+1 = 36 closure pairs.
+        let s = eval(&chain_edb(8), &prior_idb()).unwrap();
         assert_eq!(s.relation("prior").unwrap().len(), 36);
+        assert!(s
+            .relation("prior")
+            .unwrap()
+            .contains(&Tuple::new(vec![Value::sym("c8"), Value::sym("c0")])));
     }
 
     #[test]
-    fn agrees_with_naive_on_random_graphs() {
+    fn closure_of_random_graphs_matches_reachability() {
         let mut rng = StdRng::seed_from_u64(42);
         for case in 0..10 {
             let mut edb = Edb::new();
             edb.declare("prereq", &["C", "P"]).unwrap();
             let nodes = 8;
+            let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nodes];
             for _ in 0..15 {
                 let a = rng.gen_range(0..nodes);
                 let b = rng.gen_range(0..nodes);
                 edb.insert_fact(&parse_atom(&format!("prereq(n{a}, n{b})")).unwrap())
                     .unwrap();
+                succ[a].push(b);
             }
-            let idb = prior_idb();
-            let n = naive::eval(&edb, &idb).unwrap();
-            let s = eval(&edb, &idb).unwrap();
-            assert!(same_facts(&n, &s), "case {case}");
+            // Hand reference: a breadth-first search from every node; a
+            // pair (a, b) is in the closure when b is reachable from a by
+            // at least one edge.
+            let mut expected = BTreeSet::new();
+            for a in 0..nodes {
+                let mut seen = vec![false; nodes];
+                let mut queue: VecDeque<usize> = succ[a].iter().copied().collect();
+                while let Some(b) = queue.pop_front() {
+                    if !std::mem::replace(&mut seen[b], true) {
+                        expected.insert(format!("(n{a}, n{b})"));
+                        queue.extend(succ[b].iter().copied());
+                    }
+                }
+            }
+            let s = eval(&edb, &prior_idb()).unwrap();
+            assert_eq!(rendered(&s, "prior"), expected, "case {case}");
         }
     }
 
     #[test]
-    fn agrees_on_mutual_recursion() {
+    fn mutual_recursion() {
         let mut edb = Edb::new();
         edb.declare("succ", &["A", "B"]).unwrap();
         edb.declare("zero", &["A"]).unwrap();
@@ -355,15 +432,15 @@ mod tests {
             .rules,
         )
         .unwrap();
-        let n = naive::eval(&edb, &idb).unwrap();
         let s = eval(&edb, &idb).unwrap();
-        assert!(same_facts(&n, &s));
-        assert_eq!(s.relation("even").unwrap().len(), 4); // n0, n2, n4, n6
-        assert_eq!(s.relation("odd").unwrap().len(), 3); // n1, n3, n5
+        let set =
+            |xs: &[&str]| -> BTreeSet<String> { xs.iter().map(|x| format!("({x})")).collect() };
+        assert_eq!(rendered(&s, "even"), set(&["n0", "n2", "n4", "n6"]));
+        assert_eq!(rendered(&s, "odd"), set(&["n1", "n3", "n5"]));
     }
 
     #[test]
-    fn agrees_with_negation() {
+    fn stratified_negation_evaluates_lower_first() {
         let mut edb = Edb::new();
         edb.declare("student", &["S", "M", "G"]).unwrap();
         edb.insert_fact(&parse_atom("student(ann, math, 3.9)").unwrap())
@@ -379,9 +456,12 @@ mod tests {
             .rules,
         )
         .unwrap();
-        let n = naive::eval(&edb, &idb).unwrap();
         let s = eval(&edb, &idb).unwrap();
-        assert!(same_facts(&n, &s));
+        assert_eq!(rendered(&s, "honor"), BTreeSet::from(["(ann)".to_string()]));
+        assert_eq!(
+            rendered(&s, "ordinary"),
+            BTreeSet::from(["(bob)".to_string()])
+        );
     }
 
     #[test]
@@ -393,6 +473,17 @@ mod tests {
         }
         let s = eval(&edb, &prior_idb()).unwrap();
         assert_eq!(s.relation("prior").unwrap().len(), 4);
+    }
+
+    #[test]
+    fn three_cycle_closure_is_every_ordered_pair() {
+        let mut edb = Edb::new();
+        edb.declare("prereq", &["C", "P"]).unwrap();
+        for f in ["prereq(a, b)", "prereq(b, c)", "prereq(c, a)"] {
+            edb.insert_fact(&parse_atom(f).unwrap()).unwrap();
+        }
+        let s = eval(&edb, &prior_idb()).unwrap();
+        assert_eq!(s.relation("prior").unwrap().len(), 9);
     }
 
     #[test]
@@ -416,5 +507,48 @@ mod tests {
             restricted.relation("prior").unwrap().len()
         );
         assert!(restricted.relation("other").is_none());
+    }
+
+    #[test]
+    fn empty_idb_derives_nothing() {
+        assert!(eval(&chain_edb(3), &Idb::new()).unwrap().is_empty());
+    }
+
+    /// Runs `prior` over a 30-edge chain under `opts` and returns the
+    /// exhaustion diagnostic it must abort with.
+    fn exhausted(opts: EvalOptions) -> qdk_logic::governor::Exhausted {
+        match eval_with(&chain_edb(30), &prior_idb(), opts).unwrap_err() {
+            crate::EngineError::Exhausted(e) => e,
+            other => panic!("expected Exhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_aborts_runaway() {
+        let e = exhausted(EvalOptions::with_limits(
+            ResourceLimits::default().with_work_budget(3),
+        ));
+        assert_eq!(e.resource, qdk_logic::governor::Resource::WorkBudget);
+        assert_eq!(e.limit, 3);
+        assert!(e.spent > e.limit);
+    }
+
+    #[test]
+    fn fact_limit_aborts_runaway() {
+        let e = exhausted(EvalOptions::with_limits(
+            ResourceLimits::default().with_max_facts(10),
+        ));
+        assert_eq!(e.resource, qdk_logic::governor::Resource::Facts);
+        assert_eq!(e.limit, 10);
+    }
+
+    #[test]
+    fn cancel_token_aborts_evaluation() {
+        // The governor polls on its first tick, so a pre-cancelled token
+        // stops evaluation before any work happens.
+        let token = CancelToken::new();
+        token.cancel();
+        let e = exhausted(EvalOptions::default().with_cancel(token));
+        assert_eq!(e.resource, qdk_logic::governor::Resource::Cancelled);
     }
 }

@@ -920,14 +920,13 @@ impl KnowledgeBase {
         }
     }
 
-    /// The maintained store, when `strategy` can serve from it: the
-    /// bottom-up strategies compute exactly the maintained fixpoint, so
-    /// the stored derived facts *are* their answer; the goal-directed
-    /// strategies keep their own evaluation.
+    /// The maintained store, when `strategy` can serve from it:
+    /// semi-naive computes exactly the maintained fixpoint, so the stored
+    /// derived facts *are* its answer; QSQ keeps its own evaluation.
     fn maintained_for(&self, strategy: Strategy) -> Option<&MaintainedStore> {
         match strategy {
-            Strategy::Naive | Strategy::SemiNaive => self.maintained.as_ref(),
-            _ => None,
+            Strategy::SemiNaive => self.maintained.as_ref(),
+            Strategy::Qsq => None,
         }
     }
 
@@ -1076,7 +1075,7 @@ impl KnowledgeBase {
     /// [`Self::retrieve`] with per-query strategy and evaluation options
     /// (the hook the `Session` facade's request overrides go through). The
     /// cached compiled program is reused; when the maintained store is
-    /// live and the strategy is bottom-up, the answer is projected
+    /// live and the strategy is semi-naive, the answer is projected
     /// straight from the maintained derived facts — no fixpoint runs.
     #[doc(hidden)]
     pub fn retrieve_with_options(

@@ -574,9 +574,7 @@ fn span_metric(name: &str) -> Option<&'static str> {
         "plan" => "plan_span_micros",
         "execute" => "execute_span_micros",
         "seminaive" => "seminaive_span_micros",
-        "naive" => "naive_span_micros",
-        "magic" => "magic_span_micros",
-        "topdown" => "topdown_span_micros",
+        "qsq" => "qsq_span_micros",
         "transform" => "transform_span_micros",
         "enumerate" => "enumerate_span_micros",
         "assemble" => "assemble_span_micros",

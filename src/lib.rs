@@ -37,7 +37,7 @@
 //! * [`storage`] — the extensional database (indexed relations, built-in
 //!   comparisons, catalog);
 //! * [`engine`] — the deductive `retrieve` engine (dependency analysis,
-//!   naive / semi-naive / goal-directed evaluation, stratified negation);
+//!   semi-naive and Query-Subquery evaluation, stratified negation);
 //! * [`core`] — the **describe engine**, the paper's contribution:
 //!   Algorithm 1 (derivation trees + hypothesis identification), the
 //!   Imielinski rule transformation, Algorithm 2 (tags + typing), the §6

@@ -199,8 +199,8 @@ impl Response {
 
     /// Strategy downgrades recorded while answering: the requested
     /// strategy could not complete and a simpler one produced the answer
-    /// (e.g. magic-sets degrading to semi-naive on a non-stratified
-    /// slice). Empty for `describe` answers and for retrieves that ran as
+    /// (e.g. a QSQ net degrading to semi-naive on negation in the
+    /// demanded slice). Empty for `describe` answers and for retrieves that ran as
     /// requested — check this to detect silent degradation without
     /// enabling tracing.
     pub fn downgrades(&self) -> &[Downgrade] {
@@ -753,13 +753,7 @@ mod tests {
     #[test]
     fn per_request_strategy_and_parallelism() {
         let s = session();
-        for strategy in [
-            Strategy::Naive,
-            Strategy::SemiNaive,
-            Strategy::Magic,
-            Strategy::TopDown,
-            Strategy::Qsq,
-        ] {
+        for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
             for workers in [1, 4] {
                 let r = s
                     .retrieve(

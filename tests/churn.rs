@@ -425,11 +425,11 @@ fn maintenance_fallback_surfaces_as_downgrade() {
     assert!(session.knowledge_base().is_maintained());
 }
 
-/// After a burst of fact churn, every retrieve strategy — including the
-/// goal-directed ones that bypass the maintained store — answers bound
-/// and open queries identically off the mutated knowledge base.
+/// After a burst of fact churn, semi-naive (served from the maintained
+/// store) and QSQ (which bypasses it and evaluates its own net) answer
+/// bound and open queries identically off the mutated knowledge base.
 #[test]
-fn all_five_strategies_agree_after_churn() {
+fn both_strategies_agree_after_churn() {
     let mut session = Session::new();
     session
         .load(
@@ -450,13 +450,7 @@ fn all_five_strategies_agree_after_churn() {
         .unwrap();
     for subject in ["reach(a, Y)", "reach(X, Y)"] {
         let mut reference: Option<Vec<String>> = None;
-        for strategy in [
-            Strategy::Naive,
-            Strategy::SemiNaive,
-            Strategy::TopDown,
-            Strategy::Magic,
-            Strategy::Qsq,
-        ] {
+        for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
             let response = session
                 .retrieve(Request::subject(subject).strategy(strategy))
                 .unwrap();

@@ -1,5 +1,5 @@
 //! The unified resource governor, end to end: the same [`ResourceLimits`]
-//! vocabulary bounds both evaluation stacks — every `retrieve` strategy
+//! vocabulary bounds both evaluation stacks — each `retrieve` strategy
 //! aborts a runaway program with the same structured [`Exhausted`]
 //! diagnostic, and `describe` degrades gracefully into a
 //! [`Completeness::Truncated`] answer instead of erroring or silently
@@ -33,17 +33,11 @@ fn chain_kb(n: usize) -> KnowledgeBase {
 }
 
 #[test]
-fn all_five_strategies_report_the_same_exhaustion_diagnostic() {
+fn both_strategies_report_the_same_exhaustion_diagnostic() {
     let session = Session::over(chain_kb(40));
     let limits = ResourceLimits::default().with_work_budget(25);
     let mut seen = Vec::new();
-    for strategy in [
-        Strategy::Naive,
-        Strategy::SemiNaive,
-        Strategy::Magic,
-        Strategy::TopDown,
-        Strategy::Qsq,
-    ] {
+    for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
         let err = session
             .retrieve(
                 Request::subject("reach(X, Y)")
@@ -59,7 +53,7 @@ fn all_five_strategies_report_the_same_exhaustion_diagnostic() {
         assert!(e.spent > e.limit, "{strategy:?}");
         seen.push(e.resource);
     }
-    // One diagnostic vocabulary across all five engines.
+    // One diagnostic vocabulary across both strategies.
     assert!(seen.iter().all(|r| *r == seen[0]));
 }
 
@@ -67,7 +61,7 @@ fn all_five_strategies_report_the_same_exhaustion_diagnostic() {
 fn fact_limit_bounds_bottom_up_strategies() {
     let session = Session::over(chain_kb(40));
     let limits = ResourceLimits::default().with_max_facts(10);
-    for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+    for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
         let err = session
             .retrieve(
                 Request::subject("reach(X, Y)")
@@ -104,9 +98,10 @@ fn cancellation_aborts_retrieve() {
 /// Cancelled diagnostic long before the workload could have finished.
 #[test]
 fn mid_fixpoint_cancel_stops_parallel_workers() {
-    // Naive evaluation of a 400-node transitive closure re-derives the
-    // whole relation every iteration — seconds of work when left alone.
-    let session = Session::over(chain_kb(400));
+    // A 1000-node transitive closure is ~500k derived facts over 1000
+    // semi-naive rounds — far more than 10 ms of work when left alone,
+    // so the cancel lands mid-fixpoint.
+    let session = Session::over(chain_kb(1000));
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
@@ -119,7 +114,7 @@ fn mid_fixpoint_cancel_stops_parallel_workers() {
     let err = session
         .retrieve(
             Request::subject("reach(X, Y)")
-                .strategy(Strategy::Naive)
+                .strategy(Strategy::SemiNaive)
                 .parallelism(Parallelism::workers(4))
                 .cancel(token),
         )

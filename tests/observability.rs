@@ -2,13 +2,13 @@
 //!
 //! * A [`qdk::CollectSink`] installed for a query must not change any
 //!   answer, row order, completeness tag, or `Exhausted` diagnostic — for
-//!   all five strategies at 1, 2, 4 and 8 workers.
+//!   both strategies at 1, 2, 4 and 8 workers.
 //! * Span streams nest correctly (every end matches the innermost open
 //!   start), because spans are only emitted from coordinator code paths.
 //! * `Response::trace()` returns a structured profile whose stage
 //!   timings tile the query's wall time, on the paper's Example 8
 //!   describe and a chain-128 retrieve.
-//! * Silent strategy downgrades (magic → semi-naive) surface on the
+//! * Silent strategy downgrades (QSQ → semi-naive) surface on the
 //!   response and in the trace.
 
 use proptest::prelude::*;
@@ -126,20 +126,20 @@ fn example8_describe_trace_profiles_the_enumeration() {
 }
 
 #[test]
-fn magic_downgrade_is_surfaced_on_response_and_trace() {
-    // The magic rewrite cannot handle negation in the relevant slice: it
+fn qsq_negation_downgrade_is_surfaced_on_response_and_trace() {
+    // A QSQ net is a positive program, so negation in the demanded slice
     // degrades to semi-naive. The response and its trace both say so.
     let kb = datasets::university_extended();
     let s = Session::over(kb);
     let req = || {
         Request::subject("answer(X)")
             .where_clause("enroll(X, databases), not honor(X)")
-            .strategy(Strategy::Magic)
+            .strategy(Strategy::Qsq)
     };
     let resp = s.retrieve(req()).unwrap();
     assert_eq!(resp.downgrades().len(), 1, "downgrade must be surfaced");
     let d = &resp.downgrades()[0];
-    assert_eq!(d.from, Strategy::Magic);
+    assert_eq!(d.from, Strategy::Qsq);
     assert_eq!(d.to, Strategy::SemiNaive);
 
     let traced = s.retrieve(req().with_trace(true)).unwrap();
@@ -149,9 +149,9 @@ fn magic_downgrade_is_surfaced_on_response_and_trace() {
     // The rendered trace carries the note.
     assert!(trace.to_string().contains("degraded to"), "{trace}");
 
-    // A query the rewrite handles records no downgrade.
+    // A query the net handles records no downgrade.
     let clean = s
-        .retrieve(Request::subject("honor(X)").strategy(Strategy::Magic))
+        .retrieve(Request::subject("honor(X)").strategy(Strategy::Qsq))
         .unwrap();
     assert!(clean.downgrades().is_empty());
 }
@@ -162,13 +162,7 @@ fn spans_nest_correctly_across_both_statements() {
     let kb = datasets::university_extended()
         .with_describe_options(DescribeOptions::paper().with_sink(ObsSink::new(collector.clone())));
     let s = Session::over(kb);
-    for strategy in [
-        Strategy::Naive,
-        Strategy::SemiNaive,
-        Strategy::TopDown,
-        Strategy::Magic,
-        Strategy::Qsq,
-    ] {
+    for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
         s.retrieve(Request::subject("prior(X, Y)").strategy(strategy))
             .unwrap();
     }
@@ -231,7 +225,7 @@ proptest! {
         for (a, b) in &edges {
             s.run(&format!("prereq(c{a}, c{b}).")).unwrap();
         }
-        for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::TopDown, Strategy::Magic, Strategy::Qsq] {
+        for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
             for workers in [1usize, 2, 4, 8] {
                 let plain = retrieve_outcome(&s, "prior(X, Y)", strategy, workers, false);
                 let traced = retrieve_outcome(&s, "prior(X, Y)", strategy, workers, true);
